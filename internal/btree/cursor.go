@@ -13,12 +13,16 @@ import (
 // sequential access (Next, via the descent stack) and random access
 // (SeekGE, a root-to-leaf descent).
 //
-// A cursor holds decoded copies of its descent path — the internal
-// nodes from the root down, plus one leaf — and no pins between
-// steps, so any number of cursors may be open. Sequential steps reuse
-// the cached path: advancing to a neighboring leaf under the same
-// parent costs one leaf read, with internal reads only when the walk
-// crosses a subtree boundary.
+// A cursor owns one page buffer per depth of its descent path — the
+// internal nodes from the root down, plus one leaf. Each page load
+// pins the page, copies its bytes into the buffer for that depth, and
+// unpins; the cursor then reads the copy in place through a view
+// (keys decoded at their offsets, separators found through a reused
+// offset table), so a warmed cursor steps without allocating. It
+// holds no pins between steps, so any number of cursors may be open.
+// Sequential steps reuse the cached path: advancing to a neighboring
+// leaf under the same parent costs one leaf read, with internal reads
+// only when the walk crosses a subtree boundary.
 //
 // A cursor obtained from Tree.Cursor is live: each step pins the
 // current committed version, so steps interleaved with writes observe
@@ -33,7 +37,8 @@ type Cursor struct {
 	snap  *Snapshot // non-nil: fixed-version cursor
 	v     *version  // version the cached path below belongs to
 	stack []cursorLevel
-	leaf  *leafNode
+	page  []byte // the leaf's page copy
+	leaf  leafView
 	id    disk.PageID
 	pos   int
 	valid bool
@@ -41,10 +46,13 @@ type Cursor struct {
 	ctx   context.Context // cancellation; nil = never cancelled
 }
 
-// cursorLevel is one decoded internal node on the descent path and
-// the index of the child the path went into.
+// cursorLevel is one internal node on the descent path: the cursor's
+// copy of its page, a view over that copy, and the index of the child
+// the path went into. Entries past len(stack) keep their buffers for
+// the next descent.
 type cursorLevel struct {
-	n     *internalNode
+	page  []byte
+	n     internalView
 	id    disk.PageID
 	child int
 }
@@ -99,17 +107,18 @@ func (c *Cursor) Key() Key {
 	if !c.valid {
 		panic("btree: Key on invalid cursor")
 	}
-	return c.leaf.keys[c.pos]
+	return c.leaf.key(c.pos)
 }
 
 // Value returns the current entry's value; the cursor must be Valid.
-// The returned slice is the cursor's copy; callers must not hold it
-// across Next.
+// The returned slice aliases the cursor's copy of the leaf page, which
+// the next page load overwrites; callers must not hold it across Next,
+// Prev or SeekGE.
 func (c *Cursor) Value() []byte {
 	if !c.valid {
 		panic("btree: Value on invalid cursor")
 	}
-	return c.leaf.values[c.pos]
+	return c.leaf.value(c.pos)
 }
 
 // LeafID returns the page id of the leaf under the cursor; the
@@ -128,76 +137,127 @@ func (c *Cursor) First() (bool, error) {
 	return c.SeekGE(Key{})
 }
 
+// anchor makes v the version the cursor's cached pages belong to. A
+// page id cached under another version may have been freed and reused
+// since, so switching versions forgets every cached page.
+func (c *Cursor) anchor(v *version) {
+	if c.v == v {
+		return
+	}
+	c.v = v
+	levels := c.stack[:cap(c.stack)]
+	for i := range levels {
+		levels[i].id = disk.InvalidPage
+	}
+	c.id = disk.InvalidPage
+}
+
+// fetch makes buf hold page id of the cursor's version, where *held
+// names the page buf holds now. The page is pinned, copied and
+// unpinned, so the cursor never aliases a frame the pool may recycle.
+// Every fetch is a pool access, which keeps page counts those of the
+// paper's model; but the pages of one version never change, so a
+// buffer that already holds the page is not copied again, and fetch
+// reports whether it copied.
+func (c *Cursor) fetch(id disk.PageID, held *disk.PageID, buf *[]byte) (bool, error) {
+	if err := c.ctxErr(); err != nil {
+		return false, err
+	}
+	f, err := c.t.pool.Get(id)
+	if err != nil {
+		return false, err
+	}
+	fresh := *held != id
+	if fresh {
+		*buf = append((*buf)[:0], f.Data...)
+		*held = id
+	}
+	return fresh, c.t.pool.Unpin(id, false)
+}
+
+// push reads internal page id onto the descent path and returns its
+// level.
+func (c *Cursor) push(id disk.PageID) (*cursorLevel, error) {
+	if len(c.stack) < cap(c.stack) {
+		c.stack = c.stack[:len(c.stack)+1]
+	} else {
+		c.stack = append(c.stack, cursorLevel{}) // id InvalidPage: holds nothing
+	}
+	l := &c.stack[len(c.stack)-1]
+	fresh, err := c.fetch(id, &l.id, &l.page)
+	if err == nil && fresh {
+		if l.n, err = viewInternal(l.page, l.n.sepOffs); err != nil {
+			l.id = disk.InvalidPage
+		}
+	}
+	if err != nil {
+		c.stack = c.stack[:len(c.stack)-1]
+		return nil, err
+	}
+	c.span.Inc(obs.NodeVisits)
+	return l, nil
+}
+
+// readLeaf reads leaf page id into the cursor's leaf buffer.
+func (c *Cursor) readLeaf(id disk.PageID) error {
+	fresh, err := c.fetch(id, &c.id, &c.page)
+	if err == nil && fresh {
+		if c.leaf, err = viewLeaf(c.page, c.t.valueSize); err != nil {
+			c.id = disk.InvalidPage
+		}
+	}
+	if err != nil {
+		return err
+	}
+	c.span.Inc(obs.LeafScans)
+	return nil
+}
+
 // descend rebuilds the cursor's path from v's root to the leaf
 // responsible for k.
 func (c *Cursor) descend(v *version, k Key) error {
 	var enc [encodedKeyLen]byte
 	k.encode(enc[:])
+	c.anchor(v)
 	c.stack = c.stack[:0]
 	id := v.root
 	for level := v.height; level > 1; level-- {
-		if err := c.ctxErr(); err != nil {
-			return err
-		}
-		n, err := c.t.loadInternal(id)
+		l, err := c.push(id)
 		if err != nil {
 			return err
 		}
-		c.span.Inc(obs.NodeVisits)
-		i := n.childIndex(enc[:])
-		c.stack = append(c.stack, cursorLevel{n: n, id: id, child: i})
-		id = n.children[i]
+		l.child = l.n.childIndex(enc[:])
+		id = l.n.child(l.child)
 	}
-	if err := c.ctxErr(); err != nil {
-		return err
-	}
-	n, err := c.t.loadLeaf(id)
-	if err != nil {
-		return err
-	}
-	c.span.Inc(obs.LeafScans)
-	c.leaf, c.id, c.v = n, id, v
-	return nil
+	return c.readLeaf(id)
 }
 
 // descendEdge descends to the leftmost (rightmost) leaf of the
 // subtree rooted at id, extending the cached path.
 func (c *Cursor) descendEdge(v *version, id disk.PageID, rightmost bool) (bool, error) {
+	c.anchor(v)
 	for len(c.stack)+1 < v.height {
-		if err := c.ctxErr(); err != nil {
-			c.valid = false
-			return false, err
-		}
-		n, err := c.t.loadInternal(id)
+		l, err := c.push(id)
 		if err != nil {
 			c.valid = false
 			return false, err
 		}
-		c.span.Inc(obs.NodeVisits)
-		child := 0
+		l.child = 0
 		if rightmost {
-			child = len(n.children) - 1
+			l.child = l.n.numChildren() - 1
 		}
-		c.stack = append(c.stack, cursorLevel{n: n, id: id, child: child})
-		id = n.children[child]
+		id = l.n.child(l.child)
 	}
-	if err := c.ctxErr(); err != nil {
+	if err := c.readLeaf(id); err != nil {
 		c.valid = false
 		return false, err
 	}
-	n, err := c.t.loadLeaf(id)
-	if err != nil {
-		c.valid = false
-		return false, err
-	}
-	c.span.Inc(obs.LeafScans)
-	c.leaf, c.id = n, id
 	if rightmost {
-		c.pos = len(n.keys) - 1
+		c.pos = c.leaf.count - 1
 	} else {
 		c.pos = 0
 	}
-	c.valid = len(n.keys) > 0
+	c.valid = c.leaf.count > 0
 	return c.valid, nil
 }
 
@@ -207,9 +267,9 @@ func (c *Cursor) descendEdge(v *version, id disk.PageID, rightmost bool) (bool, 
 func (c *Cursor) nextLeaf(v *version) (bool, error) {
 	for len(c.stack) > 0 {
 		top := &c.stack[len(c.stack)-1]
-		if top.child+1 < len(top.n.children) {
+		if top.child+1 < top.n.numChildren() {
 			top.child++
-			return c.descendEdge(v, top.n.children[top.child], false)
+			return c.descendEdge(v, top.n.child(top.child), false)
 		}
 		c.stack = c.stack[:len(c.stack)-1]
 	}
@@ -223,7 +283,7 @@ func (c *Cursor) prevLeaf(v *version) (bool, error) {
 		top := &c.stack[len(c.stack)-1]
 		if top.child > 0 {
 			top.child--
-			return c.descendEdge(v, top.n.children[top.child], true)
+			return c.descendEdge(v, top.n.child(top.child), true)
 		}
 		c.stack = c.stack[:len(c.stack)-1]
 	}
@@ -250,8 +310,8 @@ func (c *Cursor) SeekGE(k Key) (bool, error) {
 		c.valid = false
 		return false, err
 	}
-	c.pos = searchLeaf(c.leaf, k)
-	if c.pos < len(c.leaf.keys) {
+	c.pos = c.leaf.search(k)
+	if c.pos < c.leaf.count {
 		c.valid = true
 		return true, nil
 	}
@@ -265,12 +325,12 @@ func (c *Cursor) Next() (bool, error) {
 	if !c.valid {
 		return false, nil
 	}
-	if c.pos+1 < len(c.leaf.keys) {
+	if c.pos+1 < c.leaf.count {
 		c.pos++
 		return true, nil
 	}
 	// Crossing a leaf boundary needs a consistent view: pin one.
-	last := c.leaf.keys[len(c.leaf.keys)-1]
+	last := c.leaf.key(c.leaf.count - 1)
 	v, rel, err := c.acquire()
 	if err != nil {
 		c.valid = false
@@ -286,11 +346,11 @@ func (c *Cursor) Next() (bool, error) {
 			c.valid = false
 			return false, err
 		}
-		c.pos = searchLeaf(c.leaf, last)
-		if c.pos < len(c.leaf.keys) && c.leaf.keys[c.pos] == last {
+		c.pos = c.leaf.search(last)
+		if c.pos < c.leaf.count && c.leaf.key(c.pos) == last {
 			c.pos++
 		}
-		if c.pos < len(c.leaf.keys) {
+		if c.pos < c.leaf.count {
 			c.valid = true
 			return true, nil
 		}
@@ -307,7 +367,7 @@ func (c *Cursor) Prev() (bool, error) {
 		c.pos--
 		return true, nil
 	}
-	first := c.leaf.keys[0]
+	first := c.leaf.key(0)
 	v, rel, err := c.acquire()
 	if err != nil {
 		c.valid = false
@@ -321,7 +381,7 @@ func (c *Cursor) Prev() (bool, error) {
 			c.valid = false
 			return false, err
 		}
-		c.pos = searchLeaf(c.leaf, first) - 1
+		c.pos = c.leaf.search(first) - 1
 		if c.pos >= 0 {
 			c.valid = true
 			return true, nil

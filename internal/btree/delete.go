@@ -6,23 +6,32 @@ import (
 	"probe/internal/disk"
 )
 
-// load helpers: decode copies page contents, so frames are unpinned
+// Writer load helpers: a writer decodes the pages it will rewrite into
+// mutable nodes. Decoding copies page contents, so frames are unpinned
 // immediately and no operation ever holds more than one pin at a time.
 
 func (t *Tree) loadLeaf(id disk.PageID) (*leafNode, error) {
-	f, n, err := t.readLeaf(id)
+	f, err := t.pool.Get(id)
 	if err != nil {
 		return nil, err
 	}
-	return n, t.pool.Unpin(f.ID, false)
+	n, err := decodeLeaf(f.Data, t.valueSize)
+	if uerr := t.pool.Unpin(id, false); err == nil {
+		err = uerr
+	}
+	return n, err
 }
 
 func (t *Tree) loadInternal(id disk.PageID) (*internalNode, error) {
-	f, n, err := t.readInternal(id)
+	f, err := t.pool.Get(id)
 	if err != nil {
 		return nil, err
 	}
-	return n, t.pool.Unpin(f.ID, false)
+	n, err := decodeInternal(f.Data)
+	if uerr := t.pool.Unpin(id, false); err == nil {
+		err = uerr
+	}
+	return n, err
 }
 
 func (t *Tree) minLeafEntries() int { return t.leafCap / 2 }

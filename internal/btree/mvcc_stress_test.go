@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"sync"
 	"testing"
@@ -186,5 +187,136 @@ func TestSnapshotOpenAllocs(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("snapshot open+release costs %.1f allocs/op, want <= 2", allocs)
+	}
+}
+
+// TestLiveCursorRacesGC walks live cursors (Tree.Cursor, which re-pins
+// the current version at every step) while writers commit and GC frees
+// superseded pages that the store hands straight back out to the next
+// writer. A live cursor keeps copies of pages across steps, so this is
+// where a page cached under one version and reused under another would
+// show: stable keys, present in every version, must each be seen
+// exactly once per walk, keys must ascend, and every value must match
+// its key. The small pool also evicts constantly, recycling frame
+// buffers under the readers. Run it with -race.
+func TestLiveCursorRacesGC(t *testing.T) {
+	pool := disk.MustPool(disk.MustMemStore(512), 48, disk.LRU)
+	tr, err := New(pool, Config{ValueSize: 8, LeafCapacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(k Key) uint64 { return k.Hi*0x9E3779B97F4A7C15 ^ k.Lo }
+	const (
+		stable    = 300
+		writers   = 2
+		readers   = 2
+		writerOps = 1200
+	)
+	for i := uint64(0); i < stable; i++ {
+		k := Key{Hi: i << 54} // Lo 0: writers' keys never collide
+		if err := tr.Insert(k, val8(check(k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var wg, writerWG sync.WaitGroup
+	writersDone := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		writerWG.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			defer writerWG.Done()
+			rng := rand.New(rand.NewSource(int64(w) + 7))
+			var live []Key
+			for i := 0; i < writerOps; i++ {
+				if len(live) == 0 || rng.Intn(100) < 55 {
+					k := Key{Hi: rng.Uint64(), Lo: uint64(w+1)<<32 | uint64(i)}
+					if err := tr.Insert(k, val8(check(k))); err != nil {
+						t.Errorf("writer %d: insert: %v", w, err)
+						return
+					}
+					live = append(live, k)
+				} else {
+					j := rng.Intn(len(live))
+					if ok, err := tr.Delete(live[j]); err != nil || !ok {
+						t.Errorf("writer %d: delete: ok=%v err=%v", w, ok, err)
+						return
+					}
+					live[j] = live[len(live)-1]
+					live = live[:len(live)-1]
+				}
+			}
+		}(w)
+	}
+	go func() { writerWG.Wait(); close(writersDone) }()
+
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			c := tr.Cursor() // one cursor for every walk: its cache spans versions
+			rng := rand.New(rand.NewSource(int64(r) + 31))
+			for walk := 0; ; walk++ {
+				if walk > 0 {
+					select {
+					case <-writersDone:
+						return
+					default:
+					}
+				}
+				seen, n := 0, 0
+				var last Key
+				ok, err := c.First()
+				for ; ok && err == nil; ok, err = c.Next() {
+					k := c.Key()
+					if n > 0 && !last.Less(k) {
+						t.Errorf("reader %d walk %d: %v after %v", r, walk, k, last)
+						return
+					}
+					if got := binary.LittleEndian.Uint64(c.Value()); got != check(k) {
+						t.Errorf("reader %d walk %d: %v has value %x, want %x", r, walk, k, got, check(k))
+						return
+					}
+					if k.Lo == 0 {
+						seen++
+					}
+					last = k
+					n++
+				}
+				if err != nil {
+					t.Errorf("reader %d walk %d: %v", r, walk, err)
+					return
+				}
+				if seen != stable {
+					t.Errorf("reader %d walk %d: saw %d stable keys, want %d", r, walk, seen, stable)
+					return
+				}
+				for i := 0; i < 20; i++ {
+					k := Key{Hi: uint64(rng.Intn(stable)) << 54}
+					if ok, err := c.SeekGE(k); err != nil || !ok || c.Key() != k {
+						t.Errorf("reader %d: SeekGE(%v) = %v, %v", r, k, ok, err)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-writersDone:
+				return
+			default:
+			}
+			tr.CollectGarbage()
+		}
+	}()
+	wg.Wait()
+	if st := tr.MVCCStats(); st.FreedPages == 0 {
+		t.Fatalf("GC freed nothing; the walk never raced page reuse: %+v", st)
 	}
 }

@@ -69,6 +69,9 @@ func newTreeShell(pool *disk.Pool, valueSize, leafCapacity int) (*Tree, error) {
 	if valueSize < 0 {
 		return nil, fmt.Errorf("btree: negative value size")
 	}
+	if ps > maxPageSize {
+		return nil, fmt.Errorf("btree: page size %d exceeds %d", ps, maxPageSize)
+	}
 	stride := encodedKeyLen + valueSize
 	maxLeaf := (ps - leafHeaderLen) / stride
 	if maxLeaf < 2 {
@@ -179,61 +182,55 @@ func (t *Tree) LeafCapacity() int { return t.leafCap }
 // Pool returns the buffer pool the tree lives on.
 func (t *Tree) Pool() *disk.Pool { return t.pool }
 
-// readLeaf fetches and decodes a leaf page, returning the frame still
-// pinned; the caller must unpin.
-func (t *Tree) readLeaf(id disk.PageID) (*disk.Frame, *leafNode, error) {
-	f, err := t.pool.Get(id)
-	if err != nil {
-		return nil, nil, err
-	}
-	n, err := decodeLeaf(f.Data, t.valueSize)
-	if err != nil {
-		t.pool.Unpin(id, false)
-		return nil, nil, err
-	}
-	return f, n, nil
-}
-
-func (t *Tree) readInternal(id disk.PageID) (*disk.Frame, *internalNode, error) {
-	f, err := t.pool.Get(id)
-	if err != nil {
-		return nil, nil, err
-	}
-	n, err := decodeInternal(f.Data)
-	if err != nil {
-		t.pool.Unpin(id, false)
-		return nil, nil, err
-	}
-	return f, n, nil
-}
-
-// searchLeaf returns the index of the first key >= k in the leaf.
+// searchLeaf returns the index of the first key >= k in a decoded
+// leaf.
 func searchLeaf(n *leafNode, k Key) int {
 	return sort.Search(len(n.keys), func(i int) bool { return !n.keys[i].Less(k) })
 }
 
-// getAt looks the key up in one committed version. The caller must
-// hold a pin on v (or be the serialized writer).
+// getAt looks the key up in one committed version, viewing each page
+// in place while it is pinned. The caller must hold a pin on v (or be
+// the serialized writer).
 func (t *Tree) getAt(v *version, k Key) ([]byte, bool, error) {
 	var enc [encodedKeyLen]byte
 	k.encode(enc[:])
+	var offs [256]uint16 // the separator table of a 4 KiB page fits on the stack
 	id := v.root
 	for level := v.height; level > 1; level-- {
-		n, err := t.loadInternal(id)
+		f, err := t.pool.Get(id)
 		if err != nil {
 			return nil, false, err
 		}
-		id = n.children[n.childIndex(enc[:])]
+		n, err := viewInternal(f.Data, offs[:0])
+		if err != nil {
+			t.pool.Unpin(id, false)
+			return nil, false, err
+		}
+		next := n.child(n.childIndex(enc[:]))
+		if err := t.pool.Unpin(id, false); err != nil {
+			return nil, false, err
+		}
+		id = next
 	}
-	n, err := t.loadLeaf(id)
+	f, err := t.pool.Get(id)
 	if err != nil {
 		return nil, false, err
 	}
-	i := searchLeaf(n, k)
-	if i < len(n.keys) && n.keys[i] == k {
-		return n.values[i], true, nil
+	var val []byte
+	found := false
+	l, err := viewLeaf(f.Data, t.valueSize)
+	if err == nil {
+		if i := l.search(k); i < l.count && l.key(i) == k {
+			val, found = append(make([]byte, 0, t.valueSize), l.value(i)...), true
+		}
 	}
-	return nil, false, nil
+	if uerr := t.pool.Unpin(id, false); err == nil {
+		err = uerr
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	return val, found, nil
 }
 
 // Get returns the value stored under the key in the current committed

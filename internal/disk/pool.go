@@ -84,6 +84,9 @@ func (c *counters) reset() {
 
 // Frame is a pinned page resident in a buffer pool. Data is the
 // page's contents; mutate it in place and call SetDirty, then Unpin.
+// Data is valid only while the frame is pinned: after Unpin the pool
+// may evict the page and reuse the buffer for another one, so a
+// reader copies whatever it keeps.
 type Frame struct {
 	ID    PageID
 	Data  []byte
@@ -233,19 +236,31 @@ func (p *Pool) NewPage() (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
+	clear(f.Data)
 	f.dirty = true
 	return f, nil
 }
 
 // admit makes room if needed and installs a pinned frame for id. The
+// frame's buffer is the last evicted victim's when there is one, so a
+// warm pool reads pages without allocating; its contents are
+// undefined until the caller fills them. Recycling is safe because no
+// reader keeps a frame's Data past its Unpin (readers copy what they
+// keep) and every Store.Write copies the buffer it is given. The
 // caller holds p.mu.
 func (p *Pool) admit(id PageID) (*Frame, error) {
+	var buf []byte
 	for len(p.frames) >= p.capacity {
-		if err := p.evictOne(); err != nil {
+		victim, err := p.evictOne()
+		if err != nil {
 			return nil, err
 		}
+		buf = victim.Data
 	}
-	f := &Frame{ID: id, Data: make([]byte, p.store.PageSize()), pins: 1}
+	if buf == nil {
+		buf = make([]byte, p.store.PageSize())
+	}
+	f := &Frame{ID: id, Data: buf, pins: 1}
 	f.elem = p.order.PushBack(f)
 	p.frames[id] = f
 	return f, nil
@@ -256,9 +271,9 @@ func (p *Pool) discard(f *Frame) {
 	delete(p.frames, f.ID)
 }
 
-// evictOne removes one unpinned frame according to the policy. The
-// caller holds p.mu.
-func (p *Pool) evictOne() error {
+// evictOne removes one unpinned frame according to the policy and
+// returns it. The caller holds p.mu.
+func (p *Pool) evictOne() (*Frame, error) {
 	var victim *Frame
 	switch p.policy {
 	case LRU, FIFO:
@@ -281,11 +296,11 @@ func (p *Pool) evictOne() error {
 		}
 	}
 	if victim == nil {
-		return fmt.Errorf("disk: all %d frames pinned; cannot evict", len(p.frames))
+		return nil, fmt.Errorf("disk: all %d frames pinned; cannot evict", len(p.frames))
 	}
 	if victim.dirty {
 		if err := p.store.Write(victim.ID, victim.Data); err != nil {
-			return err
+			return nil, err
 		}
 		p.stats.writeBacks.Add(1)
 		p.span.Load().Inc(obs.PoolWriteBacks)
@@ -293,7 +308,7 @@ func (p *Pool) evictOne() error {
 	p.discard(victim)
 	p.stats.evictions.Add(1)
 	p.span.Load().Inc(obs.PoolEvictions)
-	return nil
+	return victim, nil
 }
 
 // Unpin releases one pin on the page. dirty marks the contents

@@ -151,3 +151,110 @@ func TestPoolConcurrentReaders(t *testing.T) {
 		t.Errorf("hits %d + misses %d != gets %d", st.Hits, st.Misses, st.Gets)
 	}
 }
+
+// TestPoolRecycledBuffersRace evicts continuously under concurrent
+// readers, so admitted frames keep taking over the buffers of evicted
+// victims. Every page is filled with a pattern derived from its id;
+// a reader that sees any other byte while it holds the pin has been
+// handed a buffer still in use or not fully refilled. Run it with
+// -race: a recycled buffer shared with an unpinned reader is a data
+// race.
+func TestPoolRecycledBuffersRace(t *testing.T) {
+	const (
+		pageSize = 256
+		pages    = 64
+		readers  = 4
+		gets     = 2000
+	)
+	store := MustMemStore(pageSize)
+	var ids []PageID
+	for i := 0; i < pages; i++ {
+		id, err := store.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Write(id, patternPage(id, pageSize)); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	pool := MustPool(store, readers+2, LRU)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for i := 0; i < gets; i++ {
+				id := ids[rng.Intn(len(ids))]
+				f, err := pool.Get(id)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				want := byte(id)
+				for j, b := range f.Data {
+					if b != want+byte(j) {
+						t.Errorf("page %d byte %d = %d, want %d", id, j, b, want+byte(j))
+						break
+					}
+				}
+				if err := pool.Unpin(id, false); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	if st := pool.Stats(); st.Evictions == 0 {
+		t.Fatalf("no evictions: %+v", st)
+	}
+}
+
+// patternPage is page id's test contents: byte j is byte(id)+j.
+func patternPage(id PageID, size int) []byte {
+	b := make([]byte, size)
+	for j := range b {
+		b[j] = byte(id) + byte(j)
+	}
+	return b
+}
+
+// TestPoolNewPageZeroedAfterRecycle checks that a page admitted into a
+// recycled buffer starts zeroed, as Store.Allocate promises, and not
+// with the evicted victim's bytes.
+func TestPoolNewPageZeroedAfterRecycle(t *testing.T) {
+	pool := MustPool(MustMemStore(128), 1, LRU)
+	f, err := pool.NewPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range f.Data {
+		f.Data[j] = 0xAB
+	}
+	if err := pool.Unpin(f.ID, true); err != nil {
+		t.Fatal(err)
+	}
+	g, err := pool.NewPage() // evicts f and takes over its buffer
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, b := range g.Data {
+		if b != 0 {
+			t.Fatalf("new page byte %d = %#x after recycling, want 0", j, b)
+		}
+	}
+	if err := pool.Unpin(g.ID, false); err != nil {
+		t.Fatal(err)
+	}
+	// The victim's write-back happened before its buffer was reused.
+	h, err := pool.Get(f.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Data[0] != 0xAB || h.Data[len(h.Data)-1] != 0xAB {
+		t.Fatalf("evicted page read back as %#x..%#x, want 0xab", h.Data[0], h.Data[len(h.Data)-1])
+	}
+	pool.Unpin(h.ID, false)
+}

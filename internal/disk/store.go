@@ -42,7 +42,9 @@ type Store interface {
 	Allocate() (PageID, error)
 	// Read copies the page's contents into buf (len PageSize).
 	Read(id PageID, buf []byte) error
-	// Write replaces the page's contents with buf (len PageSize).
+	// Write replaces the page's contents with buf (len PageSize). It
+	// must not retain buf after returning: the pool reuses the buffer
+	// of an evicted frame for the next page it admits.
 	Write(id PageID, buf []byte) error
 	// Free releases the page for reuse.
 	Free(id PageID) error

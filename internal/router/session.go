@@ -244,6 +244,7 @@ type request struct {
 	op      string
 	start   time.Time
 	errCode uint8
+	settled bool // telemetry recorded (settle)
 
 	flags uint8
 	trace uint64
@@ -297,12 +298,8 @@ func opName(typ uint8) string {
 	}
 }
 
-// execute runs one admitted request to completion, then records its
-// telemetry: the latency histogram, the trace store entry for
-// interesting requests (traced, slow, sampled), and the structured
-// log line — every logged or stored request carries a trace ID, so
-// router lines grep-correlate with the shard lines of the same
-// request.
+// execute runs one admitted request to completion; its handler
+// records the request's telemetry (settle) before the terminal frame.
 func (ss *session) execute(ctx context.Context, typ uint8, payload []byte) {
 	ss.r.metrics.Int("router.requests").Add(1)
 	rq := &request{id: peekID(payload), op: opName(typ), start: time.Now()}
@@ -326,11 +323,23 @@ func (ss *session) execute(ctx context.Context, typ uint8, payload []byte) {
 	case wire.MsgQuery:
 		ss.handleQuery(ctx, rq, payload)
 	}
-	ss.finish(rq)
+	ss.settle(rq) // a no-op unless the request ended without a terminal frame
 }
 
-// finish records one completed request's telemetry.
-func (ss *session) finish(rq *request) {
+// settle records one request's telemetry: the latency histogram,
+// the trace store entry for interesting requests (traced, slow,
+// sampled), and the structured log line — every logged or stored
+// request carries a trace ID, so router lines grep-correlate with the
+// shard lines of the same request. As on the single-node server, the
+// terminal frame is written only after settle, so a request's
+// telemetry happens-before its reply. A request that ends without a
+// terminal frame is settled when its handler returns; settling twice
+// is a no-op.
+func (ss *session) settle(rq *request) {
+	if rq.settled {
+		return
+	}
+	rq.settled = true
 	rq.span.End()
 	total := time.Since(rq.start)
 	ss.r.metrics.Histogram("router.latency." + rq.op).Observe(int64(total))
@@ -394,9 +403,16 @@ func withTimeout(ctx context.Context, ms uint32) (context.Context, context.Cance
 }
 
 func (ss *session) reject(rq *request, msg string) {
-	rq.errCode = wire.CodeBadRequest
+	ss.endError(rq, wire.CodeBadRequest, msg)
+}
+
+// endError ends a request with a typed error frame, settling its
+// metrics first.
+func (ss *session) endError(rq *request, code uint8, msg string) {
+	rq.errCode = code
+	ss.settle(rq)
 	ss.respDone.Store(true)
-	ss.sendError(rq.id, wire.CodeBadRequest, msg)
+	ss.sendError(rq.id, code, msg)
 }
 
 // codeOf maps an execution error to its typed wire code. A shard the
@@ -422,9 +438,7 @@ func codeOf(ctx context.Context, err error) uint8 {
 }
 
 func (ss *session) failReq(ctx context.Context, rq *request, err error) {
-	rq.errCode = codeOf(ctx, err)
-	ss.respDone.Store(true)
-	ss.sendError(rq.id, rq.errCode, err.Error())
+	ss.endError(rq, codeOf(ctx, err), err.Error())
 }
 
 // sendDone ends a successful request. A traced data request first
@@ -434,9 +448,9 @@ func (ss *session) failReq(ctx context.Context, rq *request, err error) {
 // single-node server so a wire client cannot tell it is talking to a
 // cluster.
 func (ss *session) sendDone(rq *request, qs probe.QueryStats) {
+	ss.settle(rq)
 	ss.respDone.Store(true)
 	if rq.traced() && rq.op != "explain" && rq.op != "stats" {
-		rq.span.End()
 		if ss.minor >= 4 {
 			tm := wire.TraceMsg{ID: rq.id, TraceID: rq.trace, Span: probe.EncodeTrace(rq.span)}
 			if ss.send(wire.MsgTrace, tm.Encode()) != nil {
@@ -736,9 +750,7 @@ func (ss *session) handleQuery(ctx context.Context, rq *request, payload []byte)
 
 	stmt, err := query.Parse(req.Text)
 	if err != nil {
-		rq.errCode = wire.CodeParse
-		ss.respDone.Store(true)
-		ss.sendError(rq.id, wire.CodeParse, err.Error())
+		ss.endError(rq, wire.CodeParse, err.Error())
 		return
 	}
 	plan, err := query.Compile(ss.r.Grid(), stmt.Select)
@@ -748,9 +760,7 @@ func (ss *session) handleQuery(ctx context.Context, rq *request, payload []byte)
 		if errors.As(err, &qe) && qe.Kind == query.KindParse {
 			code = wire.CodeParse
 		}
-		rq.errCode = code
-		ss.respDone.Store(true)
-		ss.sendError(rq.id, code, err.Error())
+		ss.endError(rq, code, err.Error())
 		return
 	}
 	eng := &clusterEngine{r: ss.r}

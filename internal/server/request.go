@@ -23,7 +23,7 @@ type request struct {
 	// trace is the request's distributed trace ID (wire header tail,
 	// minor 4). Zero means the client did not send one; setHeader mints
 	// an ID for traced requests so this server acts as the trace's
-	// front door, and finish mints one lazily for untraced requests
+	// front door, and settle mints one lazily for untraced requests
 	// that turn out slow or sampled so their log lines and trace-store
 	// records are still grep-correlatable.
 	trace uint64
@@ -44,6 +44,7 @@ type request struct {
 
 	qs      probe.QueryStats
 	errCode uint8 // 0 = success; otherwise the wire error code sent
+	settled bool  // telemetry recorded (settle)
 }
 
 // opName names a request opcode for metric names and log lines.
@@ -150,9 +151,16 @@ func (ss *session) sendTimed(rq *request, typ uint8, payload []byte) error {
 // reject ends a request at validation: bad-request error frame plus
 // the recorded outcome.
 func (ss *session) reject(rq *request, msg string) {
-	rq.errCode = wire.CodeBadRequest
+	ss.endError(rq, wire.CodeBadRequest, msg)
+}
+
+// endError ends a request with a typed error frame, settling its
+// metrics first.
+func (ss *session) endError(rq *request, code uint8, msg string) {
+	rq.errCode = code
+	ss.settle(rq)
 	ss.respDone.Store(true)
-	ss.sendError(rq.id, wire.CodeBadRequest, msg)
+	ss.sendError(rq.id, code, msg)
 }
 
 // codeOf maps an execution error to its typed wire code.
@@ -180,9 +188,7 @@ func codeOf(ctx context.Context, err error) uint8 {
 // failReq ends a request at execution: typed error frame plus the
 // recorded outcome.
 func (ss *session) failReq(ctx context.Context, rq *request, err error) {
-	rq.errCode = codeOf(ctx, err)
-	ss.respDone.Store(true)
-	ss.sendError(rq.id, rq.errCode, err.Error())
+	ss.endError(rq, codeOf(ctx, err), err.Error())
 }
 
 // sendDone ends a successful request. A traced data request first
@@ -205,7 +211,7 @@ func (ss *session) sendDone(rq *request, qs probe.QueryStats) {
 		rq.span.Add(probe.CounterElements, int64(qs.Elements))
 		rq.span.Add(probe.CounterResults, int64(qs.Results))
 	}
-	rq.span.End()
+	ss.settle(rq)
 	ss.respDone.Store(true)
 	if rq.traced() && rq.op != "explain" && rq.op != "stats" {
 		if ss.minor >= 4 {
@@ -224,15 +230,26 @@ func (ss *session) sendDone(rq *request, qs probe.QueryStats) {
 	ss.send(wire.MsgDone, dn.Encode())
 }
 
-// finish runs once per executed request, after its handler returns:
-// it seals the span, feeds the per-opcode latency and page-read
-// histograms, records interesting requests (traced, slow, sampled)
-// into the trace store behind /debug/traces, and emits the structured
-// log line — a Warn with the rendered span tree for slow queries, or
-// the sampled Info line. Every recorded or logged request carries a
-// trace ID: the client's when it sent one, a freshly minted one
-// otherwise, so store entries and log lines always grep-correlate.
-func (ss *session) finish(rq *request) {
+// settle records the request's telemetry: it takes the latency
+// reading, feeds the per-opcode latency and page-read histograms,
+// records interesting requests (traced, slow, sampled) into the trace
+// store behind /debug/traces, and emits the structured log line — a
+// Warn with the rendered span tree for slow queries, or the sampled
+// Info line. Every recorded or logged request carries a trace ID: the
+// client's when it sent one, a freshly minted one otherwise, so store
+// entries and log lines always grep-correlate.
+//
+// The terminal frame (DONE or ERROR) is written only after settle, so
+// a request's telemetry happens-before its reply: a client that
+// scrapes /metrics or /debug/traces once it has read the reply sees
+// the request. A request that ends without a terminal frame (its
+// connection failed mid-reply) is settled when its handler returns;
+// settling twice is a no-op.
+func (ss *session) settle(rq *request) {
+	if rq.settled {
+		return
+	}
+	rq.settled = true
 	rq.span.End()
 	total := time.Since(rq.recv)
 	pages := rq.span.Total(probe.CounterPoolGets)

@@ -378,9 +378,9 @@ func (ss *session) handshake() bool {
 	}.Encode()) == nil
 }
 
-// execute runs one admitted request to completion, sending its Done
-// or Error frame, then records its telemetry (histograms, log line).
-// It runs in its own goroutine; recv is when the session loop
+// execute runs one admitted request to completion: its handler
+// records the request's telemetry (settle) and then sends its Done or
+// Error frame. It runs in its own goroutine; recv is when the session loop
 // dequeued the frame, the anchor of the timing breakdown.
 func (ss *session) execute(ctx context.Context, typ uint8, payload []byte, recv time.Time) {
 	ss.srv.metrics.Int("server.requests").Add(1)
@@ -417,7 +417,7 @@ func (ss *session) execute(ctx context.Context, typ uint8, payload []byte, recv 
 	case wire.MsgQuery:
 		ss.handleQuery(ctx, rq, payload)
 	}
-	ss.finish(rq)
+	ss.settle(rq) // a no-op unless the request ended without a terminal frame
 }
 
 // withTimeout applies a request's timeout_ms to its context.
@@ -877,9 +877,7 @@ func (ss *session) handleQuery(ctx context.Context, rq *request, payload []byte)
 			if qe.Kind == probe.QueryPlanError {
 				code = wire.CodePlan
 			}
-			rq.errCode = code
-			ss.respDone.Store(true)
-			ss.sendError(rq.id, code, err.Error())
+			ss.endError(rq, code, err.Error())
 			return
 		}
 		ss.failReq(ctx, rq, err)
